@@ -119,7 +119,10 @@ type Options struct {
 	Seed int64
 	// ShotsPerTrajectory bounds how many shots reuse one noisy
 	// trajectory. Zero selects a size-dependent default (1 for ≤8 qubits,
-	// 32 beyond).
+	// 32 beyond). The size is the device's qubit count, not the number of
+	// qubits the circuit touches: the fast path's active-register
+	// compaction changes how wide a state is simulated, never how the
+	// random stream is consumed.
 	ShotsPerTrajectory int
 	// NoGateNoise disables depolarizing gate errors (ablation).
 	NoGateNoise bool
@@ -146,12 +149,13 @@ type Options struct {
 	// gates pay their own gate-error and duration cost.
 	IdleInversion bool
 	// NoFastPath is a debug/verification knob: it disables the CDF batch
-	// sampler, the pooled trajectory state, and the compiled readout
-	// channel, running the original allocate-per-trajectory,
-	// linear-scan-per-shot trial loop instead. Results are byte-identical
-	// either way — the fast path is stream-identical by construction and
-	// the equality tests assert it — so the only observable differences
-	// are time and allocations. The benchmark harness uses this to record
+	// sampler, the pooled trajectory state, active-register compaction,
+	// and the compiled readout channel, running the original
+	// allocate-per-trajectory, full-width, linear-scan-per-shot trial
+	// loop instead. Results are byte-identical either way — the fast
+	// path is stream-identical by construction and the equality tests
+	// assert it — so the only observable differences are time and
+	// allocations. The benchmark harness uses this to record
 	// the naive baseline the fast path is measured against.
 	NoFastPath bool
 }
@@ -211,12 +215,17 @@ func RunContext(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt
 		idle = &idlePlan{before: before, final: final}
 	}
 
+	var reg *register
+	if !opt.NoFastPath {
+		reg = compactRegister(c)
+	}
+
 	if opt.Workers > 1 {
-		return runParallel(ctx, c, dev, opt, idle, readout)
+		return runParallel(ctx, c, dev, opt, idle, reg, readout)
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	counts := dist.NewCounts(dev.NumQubits)
-	if err := runShots(ctx, c, dev, opt, idle, readout, opt.Shots, rng, counts); err != nil {
+	if err := runShots(ctx, c, dev, opt, idle, reg, readout, opt.Shots, rng, counts); err != nil {
 		return nil, err
 	}
 	return counts, nil
@@ -236,12 +245,15 @@ func RunContext(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt
 // rng draws, same comparisons, same tie semantics — so the recorded
 // counts are byte-identical to Options.NoFastPath (asserted by
 // TestFastPathMatchesNaive and the fuzz suite in internal/quantum).
+// When the circuit leaves qubits untouched, reg compacts every
+// trajectory onto the active qubits only (see register); the sampled
+// indices are mapped back to the full register before readout.
 func runShots(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt Options, idle *idlePlan,
-	readout *noise.CompiledReadout, shots int, rng *rand.Rand, counts *dist.Counts) error {
+	reg *register, readout *noise.CompiledReadout, shots int, rng *rand.Rand, counts *dist.Counts) error {
 	if opt.NoFastPath {
 		return runShotsNaive(ctx, c, dev, opt, idle, readout.Model(), shots, rng, counts)
 	}
-	state := quantum.AcquireState(dev.NumQubits)
+	state := quantum.AcquireState(reg.stateWidth(dev.NumQubits))
 	var sampler *quantum.Sampler
 	defer func() {
 		// A panic mid-trajectory (chaos injection, a faulted gate)
@@ -266,12 +278,12 @@ func runShots(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt O
 		if batch > remaining {
 			batch = remaining
 		}
-		runTrajectoryInto(state, c, dev, opt, idle, rng)
+		runTrajectoryInto(state, c, dev, opt, idle, reg, rng)
 		if batch == 1 {
 			// One draw amortizes nothing: the linear scan inspects half
 			// the amplitudes on average, building the CDF touches all of
 			// them. Same stream either way; keep the cheaper scan.
-			out := state.Sample(rng)
+			out := bitstring.New(reg.fullIndex(state.SampleIndex(rng)), dev.NumQubits)
 			if !opt.NoReadoutError {
 				out = readout.Apply(out, rng)
 			}
@@ -285,7 +297,7 @@ func runShots(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt O
 			sampler.Reset(state)
 		}
 		for i := 0; i < batch; i++ {
-			out := sampler.Sample(rng)
+			out := bitstring.New(reg.fullIndex(sampler.SampleIndex(rng)), dev.NumQubits)
 			if !opt.NoReadoutError {
 				out = readout.Apply(out, rng)
 			}
@@ -329,7 +341,7 @@ func runShotsNaive(ctx context.Context, c *circuit.Circuit, dev *device.Device, 
 // per-worker histograms in worker order so the result is a pure function
 // of (circuit, device, options).
 func runParallel(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt Options,
-	idle *idlePlan, readout *noise.CompiledReadout) (*dist.Counts, error) {
+	idle *idlePlan, reg *register, readout *noise.CompiledReadout) (*dist.Counts, error) {
 	workers := opt.Workers
 	if workers > opt.Shots {
 		workers = opt.Shots
@@ -347,7 +359,7 @@ func runParallel(ctx context.Context, c *circuit.Circuit, dev *device.Device, op
 		func(ctx context.Context, w, shots int) (*dist.Counts, error) {
 			local := dist.NewCounts(dev.NumQubits)
 			rng := rand.New(rand.NewSource(orchestrate.DeriveSeed(opt.Seed, w)))
-			if err := runShots(ctx, c, dev, opt, idle, readout, shots, rng, local); err != nil {
+			if err := runShots(ctx, c, dev, opt, idle, reg, readout, shots, rng, local); err != nil {
 				return nil, err
 			}
 			return local, nil
@@ -372,7 +384,7 @@ type idlePlan struct {
 // freshly allocated state (the naive path).
 func runTrajectory(c *circuit.Circuit, dev *device.Device, opt Options, idle *idlePlan, rng *rand.Rand) *quantum.State {
 	state := quantum.NewState(dev.NumQubits)
-	runTrajectoryInto(state, c, dev, opt, idle, rng)
+	runTrajectoryInto(state, c, dev, opt, idle, nil, rng)
 	return state
 }
 
@@ -380,46 +392,56 @@ func runTrajectory(c *circuit.Circuit, dev *device.Device, opt Options, idle *id
 // state, which is re-prepared to |00…0⟩ first — the in-place form the
 // fast path uses to reuse one pooled amplitude buffer across every
 // trajectory of a run. The rng consumption is identical to an execution
-// into a fresh state.
-func runTrajectoryInto(state *quantum.State, c *circuit.Circuit, dev *device.Device, opt Options, idle *idlePlan, rng *rand.Rand) {
+// into a fresh state. With a compaction plan (reg non-nil) state holds
+// only the active qubits: gates act on the compact operands while every
+// device lookup (gate error, T1) still uses the physical qubit.
+func runTrajectoryInto(state *quantum.State, c *circuit.Circuit, dev *device.Device, opt Options, idle *idlePlan,
+	reg *register, rng *rand.Rand) {
 	state.Reset()
+	off := 0
 	for i, op := range c.Ops {
 		if idle != nil {
 			for _, gap := range idle.before[i] {
-				applyIdleGap(state, dev, opt, gap, rng)
+				applyIdleGap(state, dev, opt, gap, reg.qubit(gap.Qubit), rng)
 			}
 		}
-		circuit.ApplyOp(state, op)
 		if op.Kind == circuit.Barrier {
 			continue
 		}
-		applyGateNoise(state, dev, op, opt, rng)
+		sop := op
+		if reg != nil {
+			sop.Qubits = reg.operands[off : off+len(op.Qubits)]
+			off += len(op.Qubits)
+		}
+		circuit.ApplyOp(state, sop)
+		applyGateNoise(state, dev, op, sop.Qubits, opt, rng)
 	}
 	if idle != nil {
 		for _, gap := range idle.final {
-			applyIdleGap(state, dev, opt, gap, rng)
+			applyIdleGap(state, dev, opt, gap, reg.qubit(gap.Qubit), rng)
 		}
 	}
 }
 
 // applyIdleGap relaxes a qubit through one idle window, optionally with
-// an inversion pair straddling the midpoint (Options.IdleInversion).
-func applyIdleGap(state *quantum.State, dev *device.Device, opt Options, gap schedule.QubitGap, rng *rand.Rand) {
-	q := gap.Qubit
-	t1 := dev.Qubits[q].T1
+// an inversion pair straddling the midpoint (Options.IdleInversion). The
+// device qubit is gap.Qubit; q is its index in state.
+func applyIdleGap(state *quantum.State, dev *device.Device, opt Options, gap schedule.QubitGap, q int, rng *rand.Rand) {
+	dq := dev.Qubits[gap.Qubit]
+	t1 := dq.T1
 	// Idle inversion only pays off when the gap dwarfs the two X gates.
 	if opt.IdleInversion && gap.Duration > 4*dev.Gate1Duration {
 		half := (gap.Duration - 2*dev.Gate1Duration) / 2
 		state.ApplyAmplitudeDamping(q, noise.DecayProb(half, t1), rng)
 		state.ApplyPauli(quantum.PauliX, q)
 		if !opt.NoGateNoise {
-			state.ApplyPauli(noise.SamplePauli1(dev.Qubits[q].Gate1Error, rng), q)
+			state.ApplyPauli(noise.SamplePauli1(dq.Gate1Error, rng), q)
 		}
 		state.ApplyAmplitudeDamping(q, noise.DecayProb(dev.Gate1Duration, t1), rng)
 		state.ApplyAmplitudeDamping(q, noise.DecayProb(half, t1), rng)
 		state.ApplyPauli(quantum.PauliX, q)
 		if !opt.NoGateNoise {
-			state.ApplyPauli(noise.SamplePauli1(dev.Qubits[q].Gate1Error, rng), q)
+			state.ApplyPauli(noise.SamplePauli1(dq.Gate1Error, rng), q)
 		}
 		state.ApplyAmplitudeDamping(q, noise.DecayProb(dev.Gate1Duration, t1), rng)
 		return
@@ -427,7 +449,9 @@ func applyIdleGap(state *quantum.State, dev *device.Device, opt Options, gap sch
 	state.ApplyAmplitudeDamping(q, noise.DecayProb(gap.Duration, t1), rng)
 }
 
-func applyGateNoise(state *quantum.State, dev *device.Device, op circuit.Op, opt Options, rng *rand.Rand) {
+// applyGateNoise samples op's gate error and T1 decay. op carries the
+// device qubits; sq are the same operands' indices in state.
+func applyGateNoise(state *quantum.State, dev *device.Device, op circuit.Op, sq []int, opt Options, rng *rand.Rand) {
 	duration := dev.Gate1Duration
 	if op.IsTwoQubit() {
 		duration = dev.Gate2Duration
@@ -446,17 +470,16 @@ func applyGateNoise(state *quantum.State, dev *device.Device, op circuit.Op, opt
 				p2 = 1 - (1-p2)*(1-p2)*(1-p2)
 			}
 			pa, pb := noise.SamplePauli2(p2, rng)
-			state.ApplyPauli(pa, op.Qubits[0])
-			state.ApplyPauli(pb, op.Qubits[1])
+			state.ApplyPauli(pa, sq[0])
+			state.ApplyPauli(pb, sq[1])
 		} else {
-			q := op.Qubits[0]
-			state.ApplyPauli(noise.SamplePauli1(dev.Qubits[q].Gate1Error, rng), q)
+			state.ApplyPauli(noise.SamplePauli1(dev.Qubits[op.Qubits[0]].Gate1Error, rng), sq[0])
 		}
 	}
 	if !opt.NoDecay {
-		for _, q := range op.Qubits {
+		for j, q := range op.Qubits {
 			gamma := noise.DecayProb(duration, dev.Qubits[q].T1)
-			state.ApplyAmplitudeDamping(q, gamma, rng)
+			state.ApplyAmplitudeDamping(sq[j], gamma, rng)
 		}
 	}
 }

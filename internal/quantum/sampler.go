@@ -67,6 +67,14 @@ func (sp *Sampler) NumQubits() int { return sp.n }
 // Sample draws one measurement outcome. See the type comment for the
 // stream-identity contract with State.Sample.
 func (sp *Sampler) Sample(rng *rand.Rand) bitstring.Bits {
+	i, _ := sp.SampleIndex(rng)
+	return bitstring.New(i, sp.n)
+}
+
+// SampleIndex is Sample returning the packed basis index and whether the
+// draw fell inside the accumulated mass — the same contract as
+// State.SampleIndex, and stream-identical to it.
+func (sp *Sampler) SampleIndex(rng *rand.Rand) (index uint64, ok bool) {
 	if sp.prefix == nil {
 		panic("quantum: Sample on zero Sampler")
 	}
@@ -78,9 +86,9 @@ func (sp *Sampler) Sample(rng *rand.Rand) bitstring.Bits {
 	if i >= len(sp.prefix) {
 		// Floating-point round-off: u ≥ total mass ⇒ last basis state,
 		// matching State.Sample's fallthrough.
-		i = len(sp.prefix) - 1
+		return uint64(len(sp.prefix) - 1), false
 	}
-	return bitstring.New(uint64(i), sp.n)
+	return uint64(i), true
 }
 
 // ProbabilitiesInto writes the full measurement distribution over all

@@ -71,6 +71,40 @@ func TestSamplerRoundOffTail(t *testing.T) {
 	}
 }
 
+// TestSampleIndexFlagsRoundOff pins the ok flag of both SampleIndex
+// forms: true with Sample's index for a draw inside the mass, false with
+// the last index for a draw past it, on the same stream.
+func TestSampleIndexFlagsRoundOff(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	s := randomMassState(3, rng, 0.25)
+	sp := NewSampler(s)
+	total := sp.prefix[len(sp.prefix)-1]
+	rngS, rngSp, rngRef := rand.New(rand.NewSource(6)), rand.New(rand.NewSource(6)), rand.New(rand.NewSource(6))
+	var hits, misses int
+	for i := 0; i < 400; i++ {
+		want := s.Sample(rngRef)
+		si, sok := s.SampleIndex(rngS)
+		pi, pok := sp.SampleIndex(rngSp)
+		if si != pi || sok != pok {
+			t.Fatalf("draw %d: State (%d,%v), Sampler (%d,%v)", i, si, sok, pi, pok)
+		}
+		if bitstring.New(si, 3) != want {
+			t.Fatalf("draw %d: SampleIndex %d, Sample %s", i, si, want)
+		}
+		if sok {
+			hits++
+		} else {
+			misses++
+			if si != uint64(len(s.amps)-1) {
+				t.Fatalf("draw %d: miss returned index %d, want last", i, si)
+			}
+		}
+	}
+	if hits == 0 || misses == 0 {
+		t.Fatalf("mass %v: %d hits, %d misses; want both", total, hits, misses)
+	}
+}
+
 func TestSamplerZeroAmplitudeRuns(t *testing.T) {
 	// A state with long runs of zero amplitude produces repeated prefix
 	// values; the strict `u < prefix[i]` rule must skip them exactly as

@@ -232,16 +232,26 @@ func (s *State) Probabilities() []float64 {
 // re-prepares the state, so sampling repeatedly from the final state of
 // one (noisy) trajectory is equivalent to measuring fresh copies.
 func (s *State) Sample(rng *rand.Rand) bitstring.Bits {
+	i, _ := s.SampleIndex(rng)
+	return bitstring.New(i, s.n)
+}
+
+// SampleIndex is Sample returning the packed basis index, plus whether
+// the draw fell inside the accumulated mass. When it did not
+// (floating-point round-off left the total just below the draw), the
+// index is the last basis state and ok is false, so a caller that
+// simulates a compacted register can map the miss to the last state of
+// the full register rather than to the compact all-ones index.
+func (s *State) SampleIndex(rng *rand.Rand) (index uint64, ok bool) {
 	u := rng.Float64()
 	var acc float64
 	for i, a := range s.amps {
 		acc += real(a)*real(a) + imag(a)*imag(a)
 		if u < acc {
-			return bitstring.New(uint64(i), s.n)
+			return uint64(i), true
 		}
 	}
-	// Floating-point round-off: return the last basis state.
-	return bitstring.New(uint64(len(s.amps)-1), s.n)
+	return uint64(len(s.amps) - 1), false
 }
 
 // MeasureAll performs a projective measurement of every qubit, collapsing
