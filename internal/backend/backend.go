@@ -149,8 +149,9 @@ type Options struct {
 	// gates pay their own gate-error and duration cost.
 	IdleInversion bool
 	// NoFastPath is a debug/verification knob: it disables the CDF batch
-	// sampler, the pooled trajectory state, active-register compaction,
-	// and the compiled readout channel, running the original
+	// sampler, the pooled trajectory state, the compiled program and its
+	// no-event prefix cache, active-register compaction, and the
+	// compiled readout channel, running the original
 	// allocate-per-trajectory, full-width, linear-scan-per-shot trial
 	// loop instead. Results are byte-identical either way — the fast
 	// path is stream-identical by construction and the equality tests
@@ -215,17 +216,20 @@ func RunContext(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt
 		idle = &idlePlan{before: before, final: final}
 	}
 
-	var reg *register
+	var prog *program
 	if !opt.NoFastPath {
-		reg = compactRegister(c)
+		var err error
+		if prog, err = compile(c, dev, opt, idle); err != nil {
+			return nil, err
+		}
 	}
 
 	if opt.Workers > 1 {
-		return runParallel(ctx, c, dev, opt, idle, reg, readout)
+		return runParallel(ctx, c, dev, opt, idle, prog, readout)
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	counts := dist.NewCounts(dev.NumQubits)
-	if err := runShots(ctx, c, dev, opt, idle, reg, readout, opt.Shots, rng, counts); err != nil {
+	if err := runShots(ctx, c, dev, opt, idle, prog, readout, opt.Shots, rng, counts); err != nil {
 		return nil, err
 	}
 	return counts, nil
@@ -236,24 +240,29 @@ func RunContext(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt
 //
 // This is the hot path of the entire system: every SIM group, AIM
 // canary, and profiler preparation bottoms out here, millions of shots
-// per experiment. The fast path (default) holds one pooled state vector
-// for the whole loop, re-preparing it in place per trajectory, and
-// samples each trajectory batch through a CDF built once per trajectory
-// (O(2^n) once + O(n) binary search per shot) instead of linear-scanning
-// 2^n amplitudes on every shot. Both the CDF sampler and the compiled
-// readout channel are stream-identical to the naive operations — same
-// rng draws, same comparisons, same tie semantics — so the recorded
-// counts are byte-identical to Options.NoFastPath (asserted by
+// per experiment. The fast path (default, prog non-nil) runs the
+// compiled program on one pooled state vector for the whole loop, and
+// serves every trajectory that draws no noise event from the no-event
+// prefix cache (see prefixCache), which holds the final no-event
+// state's CDF sampler. Other trajectories restore the no-event state at
+// their first event and run on from there. Each batch is sampled
+// through a CDF built once per trajectory (O(2^n) once + O(n) binary
+// search per shot) instead of linear-scanning 2^n amplitudes on every
+// shot. The cache, the CDF sampler and the compiled readout channel are
+// stream-identical to the naive operations — same rng draws, same
+// comparisons, same tie semantics — so the recorded counts are
+// byte-identical to Options.NoFastPath (asserted by
 // TestFastPathMatchesNaive and the fuzz suite in internal/quantum).
-// When the circuit leaves qubits untouched, reg compacts every
-// trajectory onto the active qubits only (see register); the sampled
-// indices are mapped back to the full register before readout.
+// When the circuit leaves qubits untouched, the program runs on the
+// active qubits only (see register); the sampled indices are mapped
+// back to the full register before readout.
 func runShots(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt Options, idle *idlePlan,
-	reg *register, readout *noise.CompiledReadout, shots int, rng *rand.Rand, counts *dist.Counts) error {
+	prog *program, readout *noise.CompiledReadout, shots int, rng *rand.Rand, counts *dist.Counts) error {
 	if opt.NoFastPath {
 		return runShotsNaive(ctx, c, dev, opt, idle, readout.Model(), shots, rng, counts)
 	}
-	state := quantum.AcquireState(reg.stateWidth(dev.NumQubits))
+	state := quantum.AcquireState(prog.width)
+	cache := acquirePrefix(prog)
 	var sampler *quantum.Sampler
 	defer func() {
 		// A panic mid-trajectory (chaos injection, a faulted gate)
@@ -265,10 +274,12 @@ func runShots(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt O
 			panic(r)
 		}
 		quantum.ReleaseState(state)
+		cache.release()
 		if sampler != nil {
 			quantum.ReleaseSampler(sampler)
 		}
 	}()
+	reg := prog.reg
 	remaining := shots
 	for remaining > 0 {
 		if err := ctx.Err(); err != nil {
@@ -278,8 +289,8 @@ func runShots(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt O
 		if batch > remaining {
 			batch = remaining
 		}
-		runTrajectoryInto(state, c, dev, opt, idle, reg, rng)
-		if batch == 1 {
+		sp := cache.trajectory(state, rng)
+		if sp == nil && batch == 1 {
 			// One draw amortizes nothing: the linear scan inspects half
 			// the amplitudes on average, building the CDF touches all of
 			// them. Same stream either way; keep the cheaper scan.
@@ -291,13 +302,16 @@ func runShots(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt O
 			remaining--
 			continue
 		}
-		if sampler == nil {
-			sampler = quantum.AcquireSampler(state)
-		} else {
-			sampler.Reset(state)
+		if sp == nil {
+			if sampler == nil {
+				sampler = quantum.AcquireSampler(state)
+			} else {
+				sampler.Reset(state)
+			}
+			sp = sampler
 		}
 		for i := 0; i < batch; i++ {
-			out := bitstring.New(reg.fullIndex(sampler.SampleIndex(rng)), dev.NumQubits)
+			out := bitstring.New(reg.fullIndex(sp.SampleIndex(rng)), dev.NumQubits)
 			if !opt.NoReadoutError {
 				out = readout.Apply(out, rng)
 			}
@@ -341,7 +355,7 @@ func runShotsNaive(ctx context.Context, c *circuit.Circuit, dev *device.Device, 
 // per-worker histograms in worker order so the result is a pure function
 // of (circuit, device, options).
 func runParallel(ctx context.Context, c *circuit.Circuit, dev *device.Device, opt Options,
-	idle *idlePlan, reg *register, readout *noise.CompiledReadout) (*dist.Counts, error) {
+	idle *idlePlan, prog *program, readout *noise.CompiledReadout) (*dist.Counts, error) {
 	workers := opt.Workers
 	if workers > opt.Shots {
 		workers = opt.Shots
@@ -359,7 +373,7 @@ func runParallel(ctx context.Context, c *circuit.Circuit, dev *device.Device, op
 		func(ctx context.Context, w, shots int) (*dist.Counts, error) {
 			local := dist.NewCounts(dev.NumQubits)
 			rng := rand.New(rand.NewSource(orchestrate.DeriveSeed(opt.Seed, w)))
-			if err := runShots(ctx, c, dev, opt, idle, reg, readout, shots, rng, local); err != nil {
+			if err := runShots(ctx, c, dev, opt, idle, prog, readout, shots, rng, local); err != nil {
 				return nil, err
 			}
 			return local, nil

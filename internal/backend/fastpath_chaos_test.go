@@ -70,3 +70,46 @@ func TestFastPathMatchesNaiveUnderChaos(t *testing.T) {
 		}
 	}
 }
+
+// TestPrefixCacheEdgesUnderChaos sends the no-event prefix cache's edge
+// cases (backend.CacheEdgeCases) through the same fault-injection stack:
+// failed and salvaged slices restart runShots, and with it the cache,
+// mid-run.
+func TestPrefixCacheEdgesUnderChaos(t *testing.T) {
+	plan := chaos.Plan{Seed: 103, TransientRate: 0.3, PartialRate: 0.2, FailFirst: 1}
+	policy := resilient.Policy{
+		MaxAttempts: 20,
+		Sleep:       func(context.Context, time.Duration) error { return nil },
+	}
+	for _, ec := range backend.CacheEdgeCases() {
+		opt := ec.Opt
+		opt.Shots = 150
+		if ec.Name == "replay-from-reset" {
+			opt.Shots = 14
+		}
+		opt.Seed = 4
+		opt.Workers = 2
+		opt.ShotsPerTrajectory = 7
+		var got [2]map[string]int
+		for i, noFast := range []bool{true, false} {
+			opt.NoFastPath = noFast
+			exec := resilient.New(plan.Wrap(backend.RunContext), policy)
+			counts, err := exec.Run(context.Background(), ec.C, ec.Dev, opt)
+			if err != nil {
+				t.Fatalf("%s noFast=%v: %v", ec.Name, noFast, err)
+			}
+			got[i] = make(map[string]int)
+			for _, o := range counts.Outcomes() {
+				got[i][o.String()] = counts.Get(o)
+			}
+		}
+		if len(got[0]) != len(got[1]) {
+			t.Fatalf("%s: support sizes differ: naive %d, fast %d", ec.Name, len(got[0]), len(got[1]))
+		}
+		for o, n := range got[0] {
+			if got[1][o] != n {
+				t.Fatalf("%s: counts differ at %s: naive %d, fast %d", ec.Name, o, n, got[1][o])
+			}
+		}
+	}
+}

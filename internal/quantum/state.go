@@ -71,14 +71,20 @@ func (s *State) Norm() float64 {
 // Normalize rescales s to unit norm. It panics on a zero vector, which
 // can only arise from a programming error (projecting onto an impossible
 // outcome).
-func (s *State) Normalize() {
-	n := math.Sqrt(s.Norm())
+func (s *State) Normalize() { s.rescale(s.Norm()) }
+
+// rescale divides every amplitude by √norm, where norm is the state's
+// current Norm. Scaling both parts by the real factor instead of
+// multiplying by complex(1/√norm, 0) can differ only in the sign of a
+// zero part, which no probability, sum or later gate can observe.
+func (s *State) rescale(norm float64) {
+	n := math.Sqrt(norm)
 	if n == 0 {
 		panic("quantum: normalizing zero state")
 	}
-	inv := complex(1/n, 0)
-	for i := range s.amps {
-		s.amps[i] *= inv
+	r := 1 / n
+	for i, a := range s.amps {
+		s.amps[i] = complex(real(a)*r, imag(a)*r)
 	}
 }
 
@@ -91,15 +97,14 @@ func (s *State) checkQubit(q int) {
 // Apply1 applies the single-qubit gate m to qubit q in place.
 func (s *State) Apply1(m Matrix2, q int) {
 	s.checkQubit(q)
-	stride := uint64(1) << uint(q)
-	size := uint64(len(s.amps))
-	for base := uint64(0); base < size; base += stride * 2 {
-		for off := uint64(0); off < stride; off++ {
-			i0 := base + off
-			i1 := i0 + stride
-			a0, a1 := s.amps[i0], s.amps[i1]
-			s.amps[i0] = m[0][0]*a0 + m[0][1]*a1
-			s.amps[i1] = m[1][0]*a0 + m[1][1]*a1
+	m00, m01, m10, m11 := m[0][0], m[0][1], m[1][0], m[1][1]
+	b := 1 << uint(q)
+	for base := 0; base < len(s.amps); base += 2 * b {
+		lo, hi := s.amps[base:base+b], s.amps[base+b:base+2*b]
+		for i, a0 := range lo {
+			a1 := hi[i]
+			lo[i] = m00*a0 + m01*a1
+			hi[i] = m10*a0 + m11*a1
 		}
 	}
 }
@@ -207,10 +212,10 @@ func (s *State) ApplyControlled(m Matrix2, control, target int) {
 // Prob1 returns the probability that measuring qubit q yields 1.
 func (s *State) Prob1(q int) float64 {
 	s.checkQubit(q)
-	b := uint64(1) << uint(q)
+	b := 1 << uint(q)
 	var p float64
-	for i, a := range s.amps {
-		if uint64(i)&b != 0 {
+	for base := b; base < len(s.amps); base += 2 * b {
+		for _, a := range s.amps[base : base+b] {
 			p += real(a)*real(a) + imag(a)*imag(a)
 		}
 	}
@@ -282,33 +287,105 @@ func (s *State) ApplyAmplitudeDamping(q int, gamma float64, rng *rand.Rand) {
 	}
 	p1 := s.Prob1(q)
 	pJump := gamma * p1
-	b := uint64(1) << uint(q)
 	if rng.Float64() < pJump {
-		// Jump: |x…1…⟩ → |x…0…⟩, amplitude moves to the relaxed index.
-		for i := range s.amps {
-			if uint64(i)&b != 0 {
-				s.amps[uint64(i)^b] = s.amps[i]
-				s.amps[i] = 0
-			}
-		}
+		s.ApplyDampingJump(q)
 	} else {
-		// No jump: K0 = diag(1, √(1−γ)).
-		f := complex(math.Sqrt(1-gamma), 0)
-		for i := range s.amps {
-			if uint64(i)&b != 0 {
-				s.amps[i] *= f
-			}
-		}
+		s.ApplyDampingNoJump(q, math.Sqrt(1-gamma))
+	}
+}
+
+// ApplyDampingJump is the jump branch of ApplyAmplitudeDamping: every
+// |x…1…⟩ amplitude moves to |x…0…⟩ (Kraus K1), then the state is
+// renormalized.
+func (s *State) ApplyDampingJump(q int) {
+	s.checkQubit(q)
+	b := 1 << uint(q)
+	for base := 0; base < len(s.amps); base += 2 * b {
+		hi := s.amps[base+b : base+2*b]
+		copy(s.amps[base:base+b], hi)
+		clear(hi)
 	}
 	s.Normalize()
 }
 
-// ApplyPauli applies Pauli p to qubit q (a stochastic gate-error kick).
-func (s *State) ApplyPauli(p Pauli, q int) {
-	if p == PauliI {
-		return
+// ApplyDampingNoJump is the no-jump branch of ApplyAmplitudeDamping:
+// K0 = diag(1, f) with f = √(1−γ), then renormalization. The norm is
+// accumulated during the scaling sweep, in the same index order as
+// Norm, so it is the same float64 and the kernel makes two sweeps
+// instead of three.
+func (s *State) ApplyDampingNoJump(q int, f float64) {
+	s.checkQubit(q)
+	b := 1 << uint(q)
+	var t float64
+	for base := 0; base < len(s.amps); base += 2 * b {
+		for _, a := range s.amps[base : base+b] {
+			t += real(a)*real(a) + imag(a)*imag(a)
+		}
+		hi := s.amps[base+b : base+2*b]
+		for i, a := range hi {
+			a = complex(real(a)*f, imag(a)*f)
+			hi[i] = a
+			t += real(a)*real(a) + imag(a)*imag(a)
+		}
 	}
-	s.Apply1(p.Matrix(), q)
+	s.rescale(t)
+}
+
+// ApplyPauli applies Pauli p to qubit q (a stochastic gate-error kick).
+// X is a swap of each amplitude pair and Z a negation of the |1⟩ half;
+// next to the Apply1 matrix product they can differ only in the sign of
+// a zero part.
+func (s *State) ApplyPauli(p Pauli, q int) {
+	switch p {
+	case PauliI:
+		return
+	case PauliX:
+		s.checkQubit(q)
+		b := 1 << uint(q)
+		for base := 0; base < len(s.amps); base += 2 * b {
+			lo, hi := s.amps[base:base+b], s.amps[base+b:base+2*b]
+			for i, a := range hi {
+				lo[i], hi[i] = a, lo[i]
+			}
+		}
+	case PauliZ:
+		s.checkQubit(q)
+		b := 1 << uint(q)
+		for base := b; base < len(s.amps); base += 2 * b {
+			hi := s.amps[base : base+b]
+			for i, a := range hi {
+				hi[i] = -a
+			}
+		}
+	default:
+		s.Apply1(p.Matrix(), q)
+	}
+}
+
+// CopyFrom overwrites s with o; the registers must be the same width.
+func (s *State) CopyFrom(o *State) {
+	if s.n != o.n {
+		panic("quantum: copy between different register sizes")
+	}
+	copy(s.amps, o.amps)
+}
+
+// Save copies s's 2^n amplitudes into dst, which must hold exactly that
+// many; Load restores them. Together they let a caller keep snapshots of
+// a state in one buffer of its own.
+func (s *State) Save(dst []complex128) {
+	if len(dst) != len(s.amps) {
+		panic(fmt.Sprintf("quantum: Save into %d slots for 2^%d amplitudes", len(dst), s.n))
+	}
+	copy(dst, s.amps)
+}
+
+// Load overwrites s with amplitudes saved by Save.
+func (s *State) Load(src []complex128) {
+	if len(src) != len(s.amps) {
+		panic(fmt.Sprintf("quantum: Load of %d amplitudes into 2^%d", len(src), s.n))
+	}
+	copy(s.amps, src)
 }
 
 // Fidelity returns |⟨s|o⟩|², the overlap between two pure states.
